@@ -7,7 +7,7 @@
 //! device's hill-climb, and emits re-cap commands for the caps that
 //! moved. Everything runs on virtual event time — no wall clock, no
 //! randomness — so a controlled run is byte-reproducible across `--jobs
-//! N` and both queue backends.
+//! N`.
 
 use crate::capper::{CapperStep, DynamicCapper};
 use crate::objective::{Objective, ObjectiveKind};

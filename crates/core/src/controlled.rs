@@ -19,8 +19,8 @@ use ugpc_capping::{apply_cpu_cap, apply_gpu_caps};
 use ugpc_control::{ControlPlane, ControllerSpec, DecisionRecord, TickRecord};
 use ugpc_hwsim::Node;
 use ugpc_runtime::{
-    simulate_controlled, DataRegistry, Observer, PerfModel, QueueBackend, SimOptions,
-    StatsCollector, TraceBuilder,
+    simulate_controlled, DataRegistry, Observer, PerfModel, SimOptions, StatsCollector,
+    TraceBuilder,
 };
 
 /// The outcome of one controlled run: the usual report plus the
@@ -44,7 +44,7 @@ pub struct ControlledRun {
 /// `spec`. Panics on malformed configurations exactly like
 /// [`crate::run_study`]; services use [`try_run_study_controlled`].
 pub fn run_study_controlled(cfg: &RunConfig, spec: &ControllerSpec) -> ControlledRun {
-    run_study_controlled_queued_observed(cfg, spec, QueueBackend::resolve(), &mut [])
+    run_study_controlled_explained(cfg, spec, &mut []).0
 }
 
 /// [`run_study_controlled`] with malformed configurations or controller
@@ -94,7 +94,6 @@ pub fn run_study_at_caps(cfg: &RunConfig, caps_w: &[f64]) -> RunReport {
             SimOptions {
                 policy: cfg.scheduler,
                 keep_records: cfg.keep_records,
-                queue: QueueBackend::resolve(),
                 ..Default::default()
             },
             &mut perf,
@@ -104,30 +103,16 @@ pub fn run_study_at_caps(cfg: &RunConfig, caps_w: &[f64]) -> RunReport {
     RunReport::from_parts(cfg, &builder.into_trace(), &stats.into_stats())
 }
 
-/// [`run_study_controlled`] with an explicit DES queue backend and extra
-/// observers — the controlled analogue of
-/// [`crate::run_study_queued_observed`], used by the differential suites
-/// to pin byte-reproducibility across backends and `--jobs N`.
-pub fn run_study_controlled_queued_observed(
-    cfg: &RunConfig,
-    spec: &ControllerSpec,
-    queue: QueueBackend,
-    extra: &mut [&mut dyn Observer],
-) -> ControlledRun {
-    run_study_controlled_explained(cfg, spec, queue, extra).0
-}
-
-/// [`run_study_controlled_queued_observed`] plus the controller's
-/// per-(tick, device) decision journal — every gate taken, every quorum
-/// vote, every epsilon-guard outcome, in event-time order. The journal
-/// is write-only instrumentation inside [`ControlPlane`], so the
-/// [`ControlledRun`] half is identical to the unexplained entry point by
-/// construction (the plain variant delegates here and drops the
-/// journal).
+/// [`run_study_controlled`] with extra observers attached, plus the
+/// controller's per-(tick, device) decision journal — every gate taken,
+/// every quorum vote, every epsilon-guard outcome, in event-time order.
+/// The journal is write-only instrumentation inside [`ControlPlane`], so
+/// the [`ControlledRun`] half is identical to the unexplained entry
+/// point by construction (the plain variant delegates here and drops
+/// the journal).
 pub fn run_study_controlled_explained(
     cfg: &RunConfig,
     spec: &ControllerSpec,
-    queue: QueueBackend,
     extra: &mut [&mut dyn Observer],
 ) -> (ControlledRun, Vec<DecisionRecord>) {
     let mut node = Node::new(cfg.platform);
@@ -156,7 +141,6 @@ pub fn run_study_controlled_explained(
             SimOptions {
                 policy: cfg.scheduler,
                 keep_records: cfg.keep_records,
-                queue,
                 ..Default::default()
             },
             &mut perf,
@@ -247,8 +231,7 @@ mod tests {
     #[test]
     fn explained_run_matches_plain_and_journals_every_decision() {
         let plain = run_study_controlled(&cfg(), &spec());
-        let (run, journal) =
-            run_study_controlled_explained(&cfg(), &spec(), QueueBackend::resolve(), &mut []);
+        let (run, journal) = run_study_controlled_explained(&cfg(), &spec(), &mut []);
         // The journal is write-only instrumentation: the run itself is
         // byte-identical to the unexplained path.
         assert_eq!(run.report, plain.report);

@@ -28,7 +28,7 @@ pub mod report;
 
 pub use controlled::{
     run_study_at_caps, run_study_controlled, run_study_controlled_explained,
-    run_study_controlled_queued_observed, try_run_study_controlled, ControlledRun,
+    try_run_study_controlled, ControlledRun,
 };
 pub use dynamic::{
     dynamic_vs_static_oracle, run_dynamic_study, DynamicIteration, DynamicStudyReport,
@@ -45,7 +45,6 @@ use ugpc_runtime::{
     StatsCollector, TaskGraph, TraceBuilder,
 };
 
-pub use ugpc_runtime::{set_backend_override, QueueBackend};
 use ugpc_telemetry::CriticalPathProfiler;
 
 /// Everything that defines one measured run.
@@ -196,25 +195,6 @@ pub fn run_study(cfg: &RunConfig) -> RunReport {
 /// observer-neutrality invariant, pinned by
 /// `tests/observer_differential.rs`).
 pub fn run_study_observed(cfg: &RunConfig, extra: &mut [&mut dyn Observer]) -> RunReport {
-    run_study_queued_observed(cfg, QueueBackend::resolve(), extra)
-}
-
-/// [`run_study`] with an explicit DES event-queue backend — the
-/// programmatic form of the `UGPC_QUEUE` / `repro --queue` knob. The
-/// backend is a pure performance choice: both pop in the identical
-/// `(time, sequence)` order, so the report is byte-for-byte the same
-/// whichever one runs (pinned by the backend differential suites), and
-/// the backend deliberately does **not** enter [`RunConfig::cache_key`].
-pub fn run_study_queued(cfg: &RunConfig, queue: QueueBackend) -> RunReport {
-    run_study_queued_observed(cfg, queue, &mut [])
-}
-
-/// [`run_study_observed`] with an explicit event-queue backend.
-pub fn run_study_queued_observed(
-    cfg: &RunConfig,
-    queue: QueueBackend,
-    extra: &mut [&mut dyn Observer],
-) -> RunReport {
     let mut node = Node::new(cfg.platform);
     apply_gpu_caps(&mut node, &cfg.gpu_config, cfg.op, cfg.precision)
         .expect("cap configuration matches the platform");
@@ -240,7 +220,6 @@ pub fn run_study_queued_observed(
             SimOptions {
                 policy: cfg.scheduler,
                 keep_records: cfg.keep_records,
-                queue,
                 ..Default::default()
             },
             &mut perf,

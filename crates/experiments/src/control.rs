@@ -30,7 +30,7 @@ use ugpc_core::{
     run_study, run_study_at_caps, run_study_controlled_explained, RunConfig, RunReport,
 };
 use ugpc_hwsim::{Flops, GpuSpec, Joules, OpKind, PlatformId, PlatformSpec, Precision, Secs};
-use ugpc_runtime::{Observer, PowerProfile, PowerTimeline, QueueBackend};
+use ugpc_runtime::{Observer, PowerProfile, PowerTimeline};
 
 /// One objective's online-vs-offline comparison on one operation.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -231,12 +231,7 @@ pub fn run_with_explained(
                 let mut timeline = PowerTimeline::new(bins);
                 let (controlled, journal) = {
                     let mut extra: [&mut dyn Observer; 1] = [&mut timeline];
-                    run_study_controlled_explained(
-                        &cfg,
-                        &ctl_spec,
-                        QueueBackend::resolve(),
-                        &mut extra,
-                    )
+                    run_study_controlled_explained(&cfg, &ctl_spec, &mut extra)
                 };
                 let settled = run_study_at_caps(&cfg, &controlled.final_caps_w);
                 let online_value = objective_value(kind, perf_floor, &uncapped, &settled);

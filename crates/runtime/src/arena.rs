@@ -8,12 +8,12 @@
 //! scratch; [`with_run_arena`] checks the thread's arena out, and the
 //! executor resets each field to its run-initial state before use — so
 //! a run observes exactly what a fresh allocation would have held,
-//! while the backing buffers (and the event queue's bucket wheel) are
+//! while the backing buffers (including the event queues' heaps) are
 //! reused across runs.
 //!
 //! Reuse is outcome-neutral by construction: every field is
 //! `clear()`ed/refilled or `reset()` before the run reads it, and the
-//! hotpath goldens + backend differentials pin that no run can tell a
+//! hotpath goldens + parallel differentials pin that no run can tell a
 //! recycled arena from a cold one. The arena is thread-local, so the
 //! work-stealing sweep driver gets one per worker thread with no
 //! synchronization on the hot path.
@@ -63,7 +63,6 @@ pub struct RunArena {
 
 impl RunArena {
     pub fn new() -> Self {
-        use crate::des::QueueBackend;
         RunArena {
             workers: Vec::new(),
             capable_cores: Vec::new(),
@@ -78,8 +77,8 @@ impl RunArena {
             completed: Vec::new(),
             footprints: Vec::new(),
             missing: Vec::new(),
-            events: EventQueue::with_backend(QueueBackend::default()),
-            resync: EventQueue::unmonitored(QueueBackend::default()),
+            events: EventQueue::new(),
+            resync: EventQueue::unmonitored(),
         }
     }
 }

@@ -17,8 +17,7 @@
 //! * Control traffic travels through the same DES [`EventQueue`]
 //!   (`EventQueue<SimEvent>`) as task completions, so every decision is
 //!   anchored to virtual event time — never wall clock — and the whole
-//!   run stays byte-reproducible under `--jobs N` and both queue
-//!   backends.
+//!   run stays byte-reproducible under `--jobs N`.
 //! * Within one popped timestamp batch, re-caps apply **first**, then
 //!   task completions, then control ticks. Since every later launch
 //!   satisfies `t_start >= now`, a re-cap at time `t` governs exactly

@@ -43,7 +43,7 @@ pub mod worker;
 pub use arena::{with_run_arena, RunArena};
 pub use control::{ControlDecision, ControlHook, RecapEvent, SimEvent};
 pub use data::{DataId, DataRegistry, MemNode};
-pub use des::{set_backend_override, EventQueue, QueueBackend};
+pub use des::EventQueue;
 pub use export::{chrome_trace, PerfettoSink, TraceError};
 pub use graph::TaskGraph;
 pub use memory::GpuMemory;

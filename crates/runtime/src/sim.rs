@@ -16,7 +16,6 @@
 use crate::arena::with_run_arena;
 use crate::control::{ControlHook, SimEvent};
 use crate::data::{DataRegistry, MemNode};
-use crate::des::QueueBackend;
 use crate::graph::TaskGraph;
 use crate::memory::GpuMemory;
 use crate::observer::{emit, ExecEvent, Observer, RunContext, RunSummary};
@@ -41,11 +40,6 @@ pub struct SimOptions {
     /// the run (StarPU's online refinement). Disable to study frozen /
     /// stale models.
     pub refine_models: bool,
-    /// Event-queue backend for the completion and resync queues. The
-    /// default is the ambient resolution (process override, then
-    /// `UGPC_QUEUE`, then calendar) — both backends are proven to pop
-    /// identically, so this is a performance knob, never a semantic one.
-    pub queue: QueueBackend,
 }
 
 impl Default for SimOptions {
@@ -55,7 +49,6 @@ impl Default for SimOptions {
             keep_records: false,
             enforce_gpu_memory: true,
             refine_models: true,
-            queue: QueueBackend::resolve(),
         }
     }
 }
@@ -157,7 +150,7 @@ fn feed(
 /// [`simulate_observed`] against an explicit scratch arena. Every arena
 /// field is reset to its run-initial state before first read, so a
 /// recycled arena is observationally identical to a cold one (pinned by
-/// the hotpath goldens and the queue-backend differentials).
+/// the hotpath goldens and the parallel differentials).
 #[allow(clippy::too_many_arguments)]
 fn simulate_in_arena(
     arena: &mut crate::arena::RunArena,
@@ -271,7 +264,7 @@ fn simulate_in_arena(
     // candidates, keyed by the time they actually go idle. Resync pops
     // are legitimately non-monotone (candidates can sit in the past), so
     // the queue is constructed unmonitored — see `RunArena::new`.
-    resync.reset(options.queue);
+    resync.reset();
     h2d_free.clear();
     h2d_free.resize(n_gpus, Secs::ZERO);
     d2h_free.clear();
@@ -279,7 +272,7 @@ fn simulate_in_arena(
     graph.indegrees_into(indeg);
     ready.clear();
     ready.extend((0..graph.len()).filter(|&t| indeg[t] == 0));
-    events.reset(options.queue);
+    events.reset();
     if let Some(t0) = first_tick {
         events.push(t0.max(Secs::ZERO), SimEvent::ControlTick);
     }

@@ -333,25 +333,6 @@ impl ResultCache {
         }
     }
 
-    /// Hit-only probe: returns the ready entry (touching its LRU slot
-    /// and counting the hit, exactly like the `Hit` arm of
-    /// [`begin`](ResultCache::begin)) or `None` — with **no** side
-    /// effects on a miss or an in-flight entry. The event loop's
-    /// request-identity fast path uses this before falling back to the
-    /// full parse-validate-begin sequence.
-    pub fn probe(&self, key: CacheKey) -> Option<Arc<str>> {
-        let shard = self.shard(key);
-        let mut map = shard.map.lock();
-        match map.get_mut(&key.0) {
-            Some(Entry::Ready { value, touched }) => {
-                *touched = shard.tick();
-                shard.counters.hits.fetch_add(1, Ordering::Relaxed);
-                Some(value.clone())
-            }
-            _ => None,
-        }
-    }
-
     /// Park until the flight resolves; returns the leader's outcome.
     pub fn wait(flight: &Flight) -> FlightResult {
         let mut slot = flight.slot.lock().unwrap_or_else(PoisonError::into_inner);

@@ -51,7 +51,6 @@ use std::os::fd::AsRawFd;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use ugpc_core::CacheKey;
 use ugpc_telemetry::{Phase, RequestSpans, TraceCtx};
 
 /// How long a shard keeps draining in-flight replies after shutdown.
@@ -60,11 +59,6 @@ const DRAIN_DEADLINE: Duration = Duration::from_secs(5);
 /// Poll timeout: shards also notice the shutdown flag at this cadence
 /// even if a wake is lost (belt and braces — wakes are not lossy).
 const POLL_MS: i32 = 250;
-
-/// Bound on the per-shard request-identity memo (distinct request lines;
-/// the map is cleared wholesale when full — hot lines repopulate it on
-/// their next occurrence).
-const MEMO_CAP: usize = 512;
 
 /// A completed async reply routed back to its connection: `(connection
 /// token, sequence number, reply line, request spans)`. The spans ride
@@ -220,13 +214,6 @@ fn shard_main(
     addr: SocketAddr,
 ) {
     let mut conns: HashMap<u64, Conn> = HashMap::new();
-    // Request-identity memo: raw request-line bytes -> content-addressed
-    // cache key, so a byte-identical repeat of a plain `run` line skips
-    // the parse/validate/key sequence and goes straight to a cache
-    // probe. Shard-local (no locks); never stale, because the mapping is
-    // content-addressed; bounded by MEMO_CAP. Only consulted when
-    // `Service::memo_allowed` says per-request logging is off.
-    let mut memo: HashMap<Box<[u8]>, CacheKey> = HashMap::new();
     let mut next_token: u64 = 0;
     let mut events: Vec<Event> = Vec::new();
     let mut shutdown_seen = false;
@@ -247,7 +234,7 @@ fn shard_main(
             };
             let mut dead = false;
             if ev.readable {
-                read_and_process(shard_idx, shared, service, ev.token, conn, &mut memo);
+                read_and_process(shard_idx, shared, service, ev.token, conn);
             }
             conn.pump();
             if conn.flush().is_err() {
@@ -274,13 +261,15 @@ fn shard_main(
 /// slots admitted but not yet answered, and response bytes parked in
 /// write buffers awaiting socket writability.
 fn publish_depths(shard_idx: usize, service: &Arc<Service>, conns: &HashMap<u64, Conn>) {
-    let (mut inflight, mut backlog) = (0u64, 0u64);
     // Sums are order-independent.
-    for c in conns.values() {
-        // lint:allow hash-iteration
-        inflight += c.next_seq - c.next_emit;
-        backlog += c.wbuf.len() as u64;
-    }
+    let (inflight, backlog) = conns
+        .values() // lint:allow hash-iteration
+        .fold((0u64, 0u64), |(slots, bytes), c| {
+            (
+                slots + (c.next_seq - c.next_emit),
+                bytes + c.wbuf.len() as u64,
+            )
+        });
     let depths = service.metrics.depth_shard(shard_idx);
     depths.inbox_depth.store(inflight, Ordering::Relaxed);
     depths.write_backlog_bytes.store(backlog, Ordering::Relaxed);
@@ -353,7 +342,6 @@ fn read_and_process(
     service: &Arc<Service>,
     token: u64,
     conn: &mut Conn,
-    memo: &mut HashMap<Box<[u8]>, CacheKey>,
 ) {
     let t_open = service.recorder().map(|r| r.now_us());
     let mut buf = [0u8; 16 * 1024];
@@ -392,7 +380,7 @@ fn read_and_process(
         if line.trim().is_empty() {
             continue;
         }
-        process_line(shard_idx, shared, service, token, conn, line, memo, arrival);
+        process_line(shard_idx, shared, service, token, conn, line, arrival);
     }
     conn.rbuf = rbuf;
     conn.rbuf.drain(..start);
@@ -410,7 +398,7 @@ fn begin_spans(
     let rec = service.recorder()?;
     let (t_open, t_read) = arrival?;
     // The real trace context is only known after parsing; the service
-    // stamps it via `set_trace` (memo and error paths keep id 0).
+    // stamps it via `set_trace` (error paths keep id 0).
     let mut spans = RequestSpans::begin(
         TraceCtx {
             trace_id: 0,
@@ -434,10 +422,7 @@ fn record_span(service: &Arc<Service>, shard_idx: usize, mut spans: Option<Reque
     }
 }
 
-/// Parse one wire line and enqueue its reply slot(s). Byte-identical
-/// repeats of plain `run` lines short-circuit through the
-/// request-identity memo when allowed (see `Service::memo_allowed`).
-#[allow(clippy::too_many_arguments)]
+/// Parse one wire line and enqueue its reply slot(s).
 fn process_line(
     shard_idx: usize,
     shared: &Arc<ShardShared>,
@@ -445,22 +430,9 @@ fn process_line(
     token: u64,
     conn: &mut Conn,
     line: &str,
-    memo: &mut HashMap<Box<[u8]>, CacheKey>,
     arrival: Option<(u64, u64)>,
 ) {
     let mut spans = begin_spans(service, shard_idx, arrival);
-    let memo_ok = service.memo_allowed();
-    if memo_ok {
-        if let Some(&key) = memo.get(line.as_bytes()) {
-            if let Some(reply) = service.fast_run_hit(key, shard_idx) {
-                service.mark_phase(&mut spans, Phase::CacheLookup);
-                let seq = conn.alloc_seq();
-                conn.pending.insert(seq, reply);
-                record_span(service, shard_idx, spans);
-                return;
-            }
-        }
-    }
     let decoded = service.decode_line(line);
     service.mark_phase(&mut spans, Phase::Parse);
     match decoded {
@@ -469,18 +441,7 @@ fn process_line(
             conn.pending.insert(seq, error_line.into());
             record_span(service, shard_idx, spans);
         }
-        Ok(Request::Run(run)) => {
-            // Perfetto replies embed a server-minted trace context when
-            // the client supplies none, so only plain runs are
-            // memoizable by line bytes.
-            if memo_ok && !run.wants_perfetto() && !memo.contains_key(line.as_bytes()) {
-                if memo.len() >= MEMO_CAP {
-                    memo.clear();
-                }
-                memo.insert(line.as_bytes().into(), run.cache_key());
-            }
-            submit_run(shard_idx, shared, service, token, conn, run, spans)
-        }
+        Ok(Request::Run(run)) => submit_run(shard_idx, shared, service, token, conn, run, spans),
         Ok(Request::Batch(runs)) => match service.admit_batch(&runs) {
             Err(error_line) => {
                 let error_line: Arc<str> = error_line.into();

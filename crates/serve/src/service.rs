@@ -602,34 +602,6 @@ impl Service {
         }
     }
 
-    /// Whether the event loop may serve repeated byte-identical request
-    /// lines through the request-identity memo (skipping the parse /
-    /// validate / trace-mint sequence). Allowed only when info logging
-    /// is off: the memo path emits no per-request "run request" line, so
-    /// it must not engage while anyone is watching the logs. Correctness
-    /// does not depend on this gate — identical bytes parse to an
-    /// identical request, whose content-addressed key can only hit an
-    /// entry produced by a fully validated identical run.
-    pub(crate) fn memo_allowed(&self) -> bool {
-        !self.logger.enabled(Level::Info)
-    }
-
-    /// The request-identity fast path: count the wire line and probe the
-    /// cache for `key`. On a hit the reply, hit counter, and shard
-    /// latency sample are all recorded exactly as on the parsed hit
-    /// path. On a miss nothing is counted — the caller falls back to the
-    /// full path, which counts the line itself.
-    pub(crate) fn fast_run_hit(&self, key: ugpc_core::CacheKey, shard: usize) -> Option<Arc<str>> {
-        let t0 = Instant::now();
-        let line = self.cache.probe(key)?;
-        self.metrics.requests_total.inc();
-        self.metrics
-            .latency_shard(shard)
-            .run_hit
-            .record(t0.elapsed());
-        Some(line)
-    }
-
     /// Service-level admission checks on top of `RunConfig::validate`.
     /// Returns the effective config on success so the run paths can key
     /// the cache without recomputing it.

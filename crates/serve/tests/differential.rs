@@ -1,5 +1,5 @@
 //! Differential suite: the event-loop server versus the blocking seed
-//! server, over every submission shape and both DES queue backends.
+//! server, over every submission shape.
 //!
 //! The non-negotiable invariant of the serve rewrite is that the
 //! architecture is invisible on the wire: for the same request stream,
@@ -8,9 +8,7 @@
 //! misses, same simulation count, same retained entries), and the same
 //! structured errors — whether requests arrive one at a time
 //! (sequential), many-in-flight on one connection (pipelined), or as a
-//! single `batch` line. The DES queue backend (binary heap vs calendar
-//! wheel) must be equally invisible, and deliberately absent from the
-//! cache key.
+//! single `batch` line.
 
 // Test helpers may unwrap (clippy's allow-unwrap-in-tests does not
 // reach helper fns in integration-test files).
@@ -18,7 +16,7 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
-use ugpc_core::{set_backend_override, QueueBackend, RunConfig};
+use ugpc_core::RunConfig;
 use ugpc_hwsim::{OpKind, PlatformId, Precision};
 use ugpc_serve::protocol::encode;
 use ugpc_serve::{
@@ -144,64 +142,46 @@ fn run_scenario(mode: ServerMode, scenario: &str) -> (Vec<String>, StatsReport) 
     (replies, stats)
 }
 
-/// The full matrix: {sequential, pipelined, batched} × {heap, calendar}
-/// × {event loop, blocking}. Reply bytes must be identical across every
-/// cell, and cache-slot behavior must agree: four misses (the four
+/// The full matrix: {sequential, pipelined, batched} × {event loop,
+/// blocking}. Reply bytes must be identical across every cell, and
+/// cache-slot behavior must agree: four misses (the four
 /// distinct configs), four simulations, four retained entries, and the
 /// repeated slot answered without a fifth simulation — from the ready
 /// entry (a hit) or by coalescing behind the identical in-flight leader
 /// (pipelined/batched submission races the repeat against its twin; both
 /// are legal, and either way the bytes match).
 #[test]
-fn reply_bytes_identical_across_modes_scenarios_and_backends() {
+fn reply_bytes_identical_across_modes_and_scenarios() {
     let mut reference: Option<Vec<String>> = None;
-    for backend in [QueueBackend::Heap, QueueBackend::Calendar] {
-        set_backend_override(Some(backend));
-        for mode in [ServerMode::EventLoop, ServerMode::Blocking] {
-            for scenario in SCENARIOS {
-                let (replies, stats) = run_scenario(mode, scenario);
-                let cell = format!("{mode:?}/{scenario}/{backend:?}");
-                assert_eq!(replies.len(), 5, "{cell}");
-                match &reference {
-                    None => reference = Some(replies),
-                    Some(want) => {
-                        assert_eq!(&replies, want, "reply bytes diverged in {cell}");
-                    }
+    for mode in [ServerMode::EventLoop, ServerMode::Blocking] {
+        for scenario in SCENARIOS {
+            let (replies, stats) = run_scenario(mode, scenario);
+            let cell = format!("{mode:?}/{scenario}");
+            assert_eq!(replies.len(), 5, "{cell}");
+            match &reference {
+                None => reference = Some(replies),
+                Some(want) => {
+                    assert_eq!(&replies, want, "reply bytes diverged in {cell}");
                 }
-                assert_eq!(
-                    stats.cache.misses, 4,
-                    "{cell}: one miss per distinct config"
-                );
-                assert_eq!(stats.simulations_executed, 4, "{cell}: no duplicate work");
-                assert_eq!(stats.cache.entries, 4, "{cell}: all four slots retained");
-                assert_eq!(
-                    stats.cache.hits + stats.cache.coalesced,
-                    1,
-                    "{cell}: the repeated config reused the leader's result"
-                );
-                assert_eq!(stats.parse_errors, 0, "{cell}");
-                assert_eq!(stats.invalid_configs, 0, "{cell}");
             }
+            assert_eq!(
+                stats.cache.misses, 4,
+                "{cell}: one miss per distinct config"
+            );
+            assert_eq!(stats.simulations_executed, 4, "{cell}: no duplicate work");
+            assert_eq!(stats.cache.entries, 4, "{cell}: all four slots retained");
+            assert_eq!(
+                stats.cache.hits + stats.cache.coalesced,
+                1,
+                "{cell}: the repeated config reused the leader's result"
+            );
+            assert_eq!(stats.parse_errors, 0, "{cell}");
+            assert_eq!(stats.invalid_configs, 0, "{cell}");
         }
     }
-    set_backend_override(None);
     // The repeated slot must echo the first slot's bytes exactly.
     let replies = reference.expect("matrix ran");
     assert_eq!(replies[4], replies[0], "cache hit must be byte-identical");
-}
-
-/// The DES backend is deliberately not part of the request identity:
-/// the same config produces the same cache key under either backend.
-#[test]
-fn cache_keys_ignore_the_queue_backend() {
-    for cfg in workload() {
-        set_backend_override(Some(QueueBackend::Heap));
-        let heap = RunRequest::new(cfg.clone()).cache_key();
-        set_backend_override(Some(QueueBackend::Calendar));
-        let calendar = RunRequest::new(cfg).cache_key();
-        set_backend_override(None);
-        assert_eq!(heap, calendar, "backend leaked into the cache key");
-    }
 }
 
 /// A batch slot and a standalone run of the same config share one cache
@@ -263,35 +243,6 @@ fn error_slots_are_identical_and_keep_the_stream_in_sync() {
     }
 }
 
-/// With info logging off, the event loop memoizes request-line bytes to
-/// skip re-parsing repeats (`Service::memo_allowed`). The fast path must
-/// be invisible on the wire: byte-identical replies to the blocking
-/// server, exact request counters, and still exactly one simulation.
-#[test]
-fn request_identity_memo_is_invisible_on_the_wire() {
-    let spawn_quiet = |mode: ServerMode| {
-        Server::bind_with_logger("127.0.0.1:0", options(mode), ugpc_serve::Logger::disabled())
-            .expect("bind ephemeral port")
-            .spawn()
-    };
-    let line = encode(&Request::Run(RunRequest::new(tiny())));
-    let lines: Vec<String> = vec![line; 12];
-    let eventloop = spawn_quiet(ServerMode::EventLoop);
-    let fast = exchange_pipelined(eventloop.addr(), &lines);
-    let stats = stats_of(eventloop.addr());
-    eventloop.stop();
-    let blocking = spawn_quiet(ServerMode::Blocking);
-    let slow = exchange_sequential(blocking.addr(), &lines);
-    blocking.stop();
-    assert_eq!(fast, slow, "memo fast path changed the reply bytes");
-    // 12 memoized runs + the stats request itself: a probe-served
-    // repeat must count exactly like a parsed one.
-    assert_eq!(stats.requests_total, 13, "every repeat counted");
-    assert_eq!(stats.simulations_executed, 1);
-    assert_eq!(stats.cache.misses, 1);
-    assert_eq!(stats.cache.hits + stats.cache.coalesced, 11);
-}
-
 /// Raw garbage (not a batch concern — it is not addressable in a batch)
 /// gets the same `bad_request` bytes from both architectures, and the
 /// connection survives to serve the next request identically.
@@ -333,7 +284,7 @@ fn malformed_lines_are_identical_across_modes() {
 /// The flight recorder is pure observation: a server with the recorder
 /// attached (the default) and one with it detached produce
 /// byte-identical reply lines for the same request stream, across both
-/// architectures, every submission shape, and both DES queue backends.
+/// architectures and every submission shape.
 /// This is the neutrality half of the observability contract — spans
 /// may time anything they like as long as no reply byte moves.
 #[test]
@@ -359,20 +310,16 @@ fn flight_recorder_is_invisible_on_the_wire() {
         handle.stop();
         replies
     };
-    for backend in [QueueBackend::Heap, QueueBackend::Calendar] {
-        set_backend_override(Some(backend));
-        for mode in [ServerMode::EventLoop, ServerMode::Blocking] {
-            for scenario in SCENARIOS {
-                let attached = run(mode, scenario, true);
-                let detached = run(mode, scenario, false);
-                assert_eq!(
-                    attached, detached,
-                    "recorder changed the wire bytes in {mode:?}/{scenario}/{backend:?}"
-                );
-            }
+    for mode in [ServerMode::EventLoop, ServerMode::Blocking] {
+        for scenario in SCENARIOS {
+            let attached = run(mode, scenario, true);
+            let detached = run(mode, scenario, false);
+            assert_eq!(
+                attached, detached,
+                "recorder changed the wire bytes in {mode:?}/{scenario}"
+            );
         }
     }
-    set_backend_override(None);
 }
 
 /// Introspect exactness: every span tree the recorder returns

@@ -250,31 +250,3 @@ fn shutdown_stops_the_accept_loop() {
         "server should be gone"
     );
 }
-
-/// The event-queue backend must be invisible on the wire: a server run
-/// entirely under the heap backend and one under the calendar backend
-/// answer the same request with byte-identical JSON, and the request's
-/// cache key is the same either way (the backend is deliberately not
-/// part of the cache identity).
-#[test]
-fn queue_backend_is_invisible_on_the_wire() {
-    use ugpc_core::{set_backend_override, QueueBackend};
-
-    let served_under = |backend: QueueBackend| {
-        set_backend_override(Some(backend));
-        let key = ugpc_serve::RunRequest::new(tiny()).cache_key();
-        let handle = spawn_server(small_options());
-        let mut client = Client::connect(handle.addr()).unwrap();
-        let report = client.run(tiny()).unwrap();
-        handle.stop();
-        set_backend_override(None);
-        (key, serde_json::to_string(&report).unwrap())
-    };
-    let (heap_key, heap_bytes) = served_under(QueueBackend::Heap);
-    let (cal_key, cal_bytes) = served_under(QueueBackend::Calendar);
-    assert_eq!(heap_key, cal_key, "backend must not enter the cache key");
-    assert_eq!(
-        heap_bytes, cal_bytes,
-        "served reports must be byte-identical across queue backends"
-    );
-}

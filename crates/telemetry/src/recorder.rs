@@ -11,7 +11,11 @@
 //! slots, copies the payload, and re-reads the sequence: any change
 //! means the copy may be torn, and the slot is skipped. Payload words
 //! are relaxed atomics, so a torn read is *detectable data*, never
-//! undefined behavior — the protocol is modeled exhaustively in
+//! undefined behavior. Two fences order those relaxed payload accesses
+//! against the sequence word (Boehm, "Can seqlocks get along with
+//! programming language memory models?", MSPC 2012): a release fence
+//! after the writer's odd mark, and an acquire fence before the
+//! reader's re-check. The protocol is modeled exhaustively in
 //! `ugpc-analysis` (`model::seqlock`) and the `buggy_*` variants there
 //! show which orderings the invariant catches.
 //!
@@ -23,7 +27,7 @@
 
 use crate::histogram::{Histogram, HistogramSnapshot};
 use crate::span::{Phase, RequestSpans, SpanTree, PHASES, RECORD_WORDS};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -65,6 +69,8 @@ impl RingShard {
         let head = self.head.load(Ordering::Relaxed);
         let slot = &self.slots[(head % self.slots.len() as u64) as usize];
         slot.seq.store(2 * head + 1, Ordering::Release);
+        // Pairs with the fence in `drain`: no payload store is seen before this odd mark.
+        fence(Ordering::Release);
         for (w, &v) in slot.words.iter().zip(words) {
             w.store(v, Ordering::Relaxed);
         }
@@ -87,6 +93,8 @@ impl RingShard {
             }
             let words: [u64; RECORD_WORDS] =
                 std::array::from_fn(|i| slot.words[i].load(Ordering::Relaxed));
+            // Pairs with the fence in `push`: a word from a newer write fails the re-check.
+            fence(Ordering::Acquire);
             if slot.seq.load(Ordering::Acquire) != expect {
                 continue; // torn: the writer lapped us mid-copy
             }
@@ -262,8 +270,12 @@ mod tests {
     fn concurrent_drains_never_see_torn_records() {
         // A writer hammering a tiny ring while readers drain: every
         // drained record must decode and carry a self-consistent
-        // (trace, total) pair the writer actually produced.
-        let r = FlightRecorder::new(1, 4);
+        // (trace, total) pair the writer actually produced. Drains run
+        // until the writer has lapped the ring at least once (and at
+        // least 200 times), so the test cannot pass before the writer
+        // thread is ever scheduled; the deadline only bounds a stall.
+        const CAPACITY: u64 = 4;
+        let r = FlightRecorder::new(1, CAPACITY as usize);
         let stop = Arc::new(AtomicU64::new(0));
         std::thread::scope(|s| {
             let writer = {
@@ -289,7 +301,9 @@ mod tests {
                     i
                 })
             };
-            for _ in 0..200 {
+            let deadline = Instant::now() + std::time::Duration::from_secs(60);
+            let mut drains = 0u32;
+            while (drains < 200 || r.recorded() < 2 * CAPACITY) && Instant::now() < deadline {
                 for t in r.drain() {
                     assert_eq!(
                         t.total_us(),
@@ -297,6 +311,7 @@ mod tests {
                         "torn record leaked through the seq check: {t:?}"
                     );
                 }
+                drains += 1;
             }
             stop.store(1, Ordering::Relaxed);
             let written = writer.join().expect("writer");

@@ -50,11 +50,10 @@ pub use ugpc_telemetry as telemetry;
 
 pub use ugpc_core::{
     compare, dynamic_vs_static_oracle, run_dynamic_study, run_study, run_study_at_caps,
-    run_study_controlled, run_study_controlled_queued_observed, run_study_observed,
-    run_study_profiled, run_study_queued, run_study_queued_observed, run_study_traced,
-    try_run_study, try_run_study_controlled, try_run_study_profiled, try_run_study_traced,
-    CacheKey, Comparison, ControlledRun, DynamicIteration, DynamicStudyReport, InvalidConfig,
-    ProfiledRun, QueueBackend, RunConfig, RunReport, TracedRun,
+    run_study_controlled, run_study_observed, run_study_profiled, run_study_traced, try_run_study,
+    try_run_study_controlled, try_run_study_profiled, try_run_study_traced, CacheKey, Comparison,
+    ControlledRun, DynamicIteration, DynamicStudyReport, InvalidConfig, ProfiledRun, RunConfig,
+    RunReport, TracedRun,
 };
 
 /// Everything most programs need.

@@ -15,7 +15,7 @@
 use ugpc::linalg::build_potrf;
 use ugpc::runtime::{
     simulate, simulate_observed, DataRegistry, EventLog, Observer, PerfModel, PerfettoSink,
-    PowerTimeline, QueueBackend, RunSummary, SimOptions, StatsCollector, TraceBuilder,
+    PowerTimeline, RunSummary, SimOptions, StatsCollector, TraceBuilder,
 };
 use ugpc_hwsim::{Node, OpKind, PlatformId, Precision};
 
@@ -179,46 +179,4 @@ fn profiled_study_is_observer_neutral_and_exact() {
         .check_consistency(1e-12)
         .expect("attribution identities");
     assert_eq!(profiled.profile.hot_tasks.len(), 5);
-}
-
-/// Backend differential at the executor level: the same run under the
-/// heap and calendar event queues must agree bitwise on the summary and
-/// byte-for-byte on the serialized trace. This is what licenses the
-/// calendar backend as the default — speed must never change outcomes.
-#[test]
-fn queue_backends_are_outcome_identical() {
-    let run = |queue: QueueBackend| {
-        let (mut node, graph, mut reg) = fresh();
-        let options = SimOptions { queue, ..opts() };
-        let trace = simulate(&mut node, &graph, &mut reg, options);
-        let (mut node, graph, mut reg) = fresh();
-        let mut perf = PerfModel::new();
-        let summary = simulate_observed(&mut node, &graph, &mut reg, options, &mut perf, &mut []);
-        (serde_json::to_string(&trace).unwrap(), summary)
-    };
-    let (heap_trace, heap_summary) = run(QueueBackend::Heap);
-    let (cal_trace, cal_summary) = run(QueueBackend::Calendar);
-    assert_eq!(heap_summary, cal_summary, "summaries must be bitwise equal");
-    assert_eq!(
-        heap_trace, cal_trace,
-        "traces must serialize byte-identically across queue backends"
-    );
-}
-
-/// Backend differential at the study level, through the public
-/// `run_study_queued` knob: full reports byte-identical across backends.
-#[test]
-fn study_reports_are_backend_identical() {
-    use ugpc::{run_study_queued, RunConfig};
-
-    let cfg = RunConfig::paper(PlatformId::Amd4A100, OpKind::Gemm, Precision::Double)
-        .scaled_down(6)
-        .with_records();
-    let heap = run_study_queued(&cfg, QueueBackend::Heap);
-    let calendar = run_study_queued(&cfg, QueueBackend::Calendar);
-    assert_eq!(
-        serde_json::to_string(&heap).unwrap(),
-        serde_json::to_string(&calendar).unwrap(),
-        "run reports must not depend on the event-queue backend"
-    );
 }

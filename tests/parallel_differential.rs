@@ -5,10 +5,7 @@
 //! serialized JSON strings — not parsed values, the exact bytes.
 //!
 //! The jobs setting is process-global, so every test serializes on one
-//! mutex and restores the default afterwards. The queue-backend override
-//! shares the same discipline: the backend axis below crosses
-//! heap/calendar with jobs 1 and 4 and demands one set of bytes from
-//! all four cells.
+//! mutex and restores the default afterwards.
 
 #![allow(clippy::unwrap_used)]
 
@@ -22,13 +19,6 @@ fn with_jobs<R>(n: usize, f: impl FnOnce() -> R) -> R {
     driver::set_jobs(n);
     let r = f();
     driver::set_jobs(0);
-    r
-}
-
-fn with_backend<R>(b: ugpc::QueueBackend, f: impl FnOnce() -> R) -> R {
-    ugpc::runtime::set_backend_override(Some(b));
-    let r = f();
-    ugpc::runtime::set_backend_override(None);
     r
 }
 
@@ -79,28 +69,4 @@ fn placements_parallel_is_byte_identical() {
     assert_parallel_matches_serial("placements", || {
         serde_json::to_string(&placements::run("HHBB", 6)).unwrap()
     });
-}
-
-/// The queue-backend axis crossed with the parallel-driver axis: one
-/// experiment under {heap, calendar} x {jobs 1, jobs 4} must produce a
-/// single set of bytes. Guards the calendar default end to end through
-/// the sweep driver's merge order.
-#[test]
-fn queue_backend_crossed_with_jobs_is_byte_identical() {
-    use ugpc::QueueBackend;
-
-    let _guard = JOBS_LOCK
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    let experiment = || serde_json::to_string(&placements::run("HHBB", 6)).unwrap();
-    let reference = with_backend(QueueBackend::Heap, || with_jobs(1, experiment));
-    for backend in [QueueBackend::Heap, QueueBackend::Calendar] {
-        for jobs in [1, 4] {
-            let bytes = with_backend(backend, || with_jobs(jobs, experiment));
-            assert_eq!(
-                reference, bytes,
-                "queue={backend} --jobs {jobs} diverged from queue=heap --jobs 1"
-            );
-        }
-    }
 }
